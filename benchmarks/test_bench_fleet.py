@@ -3,7 +3,8 @@
 Two claims about :class:`~repro.parallel.supervised.SupervisedProcessExecutor`:
 
 1.  **Supervision is (nearly) free on the clean path.**  The same
-    sleep-bearing batch through the plain process pool and the supervised
+    sleep-bearing batch through a bare stdlib
+    :class:`concurrent.futures.ProcessPoolExecutor` and the supervised
     pool must return identical results with < 5% wall-clock overhead —
     heartbeats, deadlines and the dispatch loop must not tax healthy runs.
 2.  **Recovery is fast.**  Under a deterministic kill profile, every
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from conftest import run_once
-from repro.parallel import ProcessExecutor, SupervisedProcessExecutor
+from repro.parallel import SupervisedProcessExecutor
 from repro.resilience import ChaosProfile, RetryPolicy
 
 WORKERS = 4
@@ -58,9 +60,9 @@ def bench_clean_overhead():
     # Warm both pools first so neither side pays process spawn in the
     # measured window (the supervised pool spawns eagerly, the plain pool
     # lazily — spawn cost is lifecycle, not per-batch overhead).
-    with ProcessExecutor(WORKERS) as ex:
-        ex.map_ordered(_task, payloads[:WORKERS])
-        plain, t_plain = _timed(lambda: ex.map_ordered(_task, payloads))
+    with ProcessPoolExecutor(WORKERS) as pool:
+        list(pool.map(_task, payloads[:WORKERS]))
+        plain, t_plain = _timed(lambda: list(pool.map(_task, payloads)))
     with SupervisedProcessExecutor(WORKERS) as ex:
         ex.map_ordered(_task, payloads[:WORKERS])
         supervised, t_supervised = _timed(lambda: ex.map_ordered(_task, payloads))

@@ -23,7 +23,7 @@ from conftest import run_once
 from repro.baselines.grid_search import grid_search_allocation
 from repro.cesm import CoupledRunSimulator, make_case
 from repro.hslb import gather_benchmarks
-from repro.parallel import LatencySimulator, ProcessExecutor
+from repro.parallel import LatencySimulator, get_executor
 
 WORKERS = 4
 MIN_SPEEDUP = 2.0
@@ -47,7 +47,7 @@ def bench_gather():
         return LatencySimulator(CoupledRunSimulator(case), scale=GATHER_SCALE)
 
     serial, t_serial = _timed(lambda: gather_benchmarks(sim(), points=5))
-    with ProcessExecutor(WORKERS) as ex:
+    with get_executor("process", WORKERS) as ex:
         parallel, t_parallel = _timed(
             lambda: gather_benchmarks(sim(), points=5, executor=ex)
         )
@@ -76,7 +76,7 @@ def bench_grid_search():
         return LatencySimulator(CoupledRunSimulator(case), scale=GRID_SCALE)
 
     serial, t_serial = _timed(lambda: grid_search_allocation(sim()))
-    with ProcessExecutor(WORKERS) as ex:
+    with get_executor("process", WORKERS) as ex:
         parallel, t_parallel = _timed(
             lambda: grid_search_allocation(sim(), executor=ex)
         )

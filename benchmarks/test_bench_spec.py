@@ -14,8 +14,8 @@ recipes compared per Table I problem are:
 
 Both produce a solvable model; the spec path just moves the build to the
 worker and ships ~4x fewer bytes.  A third suite times the real thing — a
-what-if ladder fanned out on a :class:`ProcessExecutor`, which ships specs
-since the refactor — and checks it returns the serial sweep's exact
+what-if ladder fanned out on ``get_executor("process", 2)``, which ships
+specs since the refactor — and checks it returns the serial sweep's exact
 results.
 """
 

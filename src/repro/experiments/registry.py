@@ -2,31 +2,23 @@
 
 Each scheduled cell (one experiment id at one seed) is described by an
 :class:`ExperimentCellSpec` — serializable, structurally hashable — which
-is what crosses process boundaries and what checkpoint files are keyed by:
-``run_experiments(..., checkpoint_dir=...)`` skips cells whose spec_key
-already has a saved result and replays only the rest.
+is what crosses process boundaries and what the run journal is keyed by.
 
-Two durability layers stack on top of checkpoints:
+Two durability layers:
 
 - ``journal=`` appends every cell start/finish/quarantine to an fsync'd
   :class:`~repro.io.journal.RunJournal`; a run killed at any instant
   resumes from the journal alone, replaying only unfinished cells.
-- ``supervised=True`` (or ``executor="supervised"``) runs cells under
+- ``executor="process"`` runs cells under
   :class:`~repro.parallel.supervised.SupervisedProcessExecutor`: crashed
   or hung workers are respawned and their cells retried; a cell that
-  exhausts its retry budget is *quarantined* — the roll-up completes with
-  a ``QUARANTINED`` line for that cell instead of dying.
-
-Corrupt checkpoint files (truncated JSON, garbage bytes, spec-key
-mismatches) are never fatal: they are renamed to ``*.corrupt``, reported
-via ``warnings`` and the event log, and the cell re-runs.
+  exhausts its retry budget (or raises) is *quarantined* — the roll-up
+  completes with a ``QUARANTINED`` line for that cell instead of dying.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.exceptions import ConfigurationError
 from repro.spec.schema import check_schema, spec_key, stamp
@@ -142,9 +134,9 @@ class ExperimentCellSpec:
     """One schedulable experiment cell (id + seed) as serializable data.
 
     This is the payload shipped to process workers and the identity key of
-    checkpoint files: :meth:`spec_key` hashes the canonical dict, so a
-    saved cell is only reused for exactly the experiment and seed that
-    produced it.
+    journal records: :meth:`spec_key` hashes the canonical dict, so a
+    journaled cell is only replayed for exactly the experiment and seed
+    that produced it.
     """
 
     experiment_id: str
@@ -199,11 +191,6 @@ def _render_cell(payload: dict) -> tuple:
     return cell.experiment_id, cell.run().render()
 
 
-def _checkpoint_path(checkpoint_dir, cell: ExperimentCellSpec) -> Path:
-    digest = cell.spec_key().removeprefix("spec:")[:16]
-    return Path(checkpoint_dir) / f"{cell.experiment_id}-s{cell.seed}-{digest}.json"
-
-
 def quarantine_text(experiment_id: str, attempts: int, reason: str, detail: str) -> str:
     """The roll-up line standing in for a poisoned cell's report.
 
@@ -217,58 +204,12 @@ def quarantine_text(experiment_id: str, attempts: int, reason: str, detail: str)
     )
 
 
-def _load_checkpoint(path: Path, cell: ExperimentCellSpec, log):
-    """Load one checkpoint, quarantining damage instead of raising.
-
-    Returns the rendered text, or ``None`` when the file is absent, corrupt
-    (truncated/garbage JSON, bad schema) or keyed to a different spec — in
-    the damaged cases the file is moved aside to ``<name>.corrupt`` so the
-    fresh result can be saved in its place.
-    """
-    from repro.io import load_experiment_cell
-    from repro.resilience.events import EventKind
-
-    if not path.exists():
-        return None
-    try:
-        _, recorded_key, rendered = load_experiment_cell(path)
-        # json.JSONDecodeError is a ValueError; missing keys raise KeyError;
-        # structurally wrong payloads raise ConfigurationError or TypeError.
-    except (ConfigurationError, OSError, ValueError, KeyError, TypeError) as exc:
-        problem = f"{type(exc).__name__}: {exc}"
-    else:
-        if recorded_key == cell.spec_key():
-            return rendered
-        problem = (
-            f"spec_key mismatch: file is {recorded_key}, "
-            f"cell {cell.experiment_id} (seed {cell.seed}) is {cell.spec_key()}"
-        )
-    quarantined = path.with_name(path.name + ".corrupt")
-    try:
-        path.replace(quarantined)
-    except OSError:
-        quarantined = path  # unmovable: leave it; the save below overwrites
-    warnings.warn(
-        f"checkpoint {path} is unusable ({problem}); "
-        f"quarantined to {quarantined.name} and re-running the cell",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-    if log is not None:
-        log.record(
-            EventKind.CHECKPOINT_QUARANTINED, "fleet", f"{path.name}: {problem}"
-        )
-    return None
-
-
 def run_experiments(
     experiment_ids,
     seed: int = 0,
     executor=None,
     workers: int | None = None,
-    checkpoint_dir=None,
     journal=None,
-    supervised: bool = False,
     retry_policy=None,
     task_deadline: float | None = None,
     chaos=None,
@@ -281,28 +222,21 @@ def run_experiments(
     internally deterministic given ``seed``, so concurrent execution
     renders the same text serial execution would.
 
-    With ``checkpoint_dir`` set, every finished cell is saved there
-    (keyed by its :class:`ExperimentCellSpec`'s spec_key) and an
-    interrupted batch resumes by replaying only the missing cells; an
-    unusable saved cell (corrupt JSON or spec-key mismatch) is quarantined
-    to ``*.corrupt`` with a warning, never trusted and never fatal.
-
     With ``journal`` set (a path or an open
     :class:`~repro.io.journal.RunJournal`), every cell start/finish is
     appended to the fsync'd journal *as it happens*: after a hard kill,
     calling this again with the same journal (what ``exp resume`` does)
-    replays finished cells from the journal and runs only the rest —
-    checkpoints are not required for recovery.  A journal that already
-    holds a plan must match ``experiment_ids``/``seed``.
+    replays finished cells from the journal and runs only the rest.  A
+    journal that already holds a plan must match ``experiment_ids``/``seed``.
 
-    With ``supervised=True`` (or ``executor="supervised"``), cells run
-    under the supervised process pool: crashed/hung workers are respawned
-    and cells retried per ``retry_policy``; a cell that exhausts its
-    budget is quarantined — its slot in the roll-up carries
-    :func:`quarantine_text` and the run still completes.  ``chaos``
-    (a :class:`~repro.resilience.chaos.ChaosProfile`) injects
+    With ``executor="process"``, cells run under the supervised process
+    pool: crashed/hung workers are respawned and cells retried per
+    ``retry_policy`` (``task_deadline`` bounds each dispatch); a cell that
+    exhausts its budget, or raises, is quarantined — its slot in the
+    roll-up carries :func:`quarantine_text` and the run still completes.
+    ``chaos`` (a :class:`~repro.resilience.chaos.ChaosProfile`) injects
     deterministic worker faults for testing; ``events`` receives the
-    supervision/journal/checkpoint event stream.
+    supervision/journal event stream.
     """
     from repro.parallel.executor import executor_scope
     from repro.parallel.supervised import PoisonedTask, SupervisedProcessExecutor
@@ -346,8 +280,6 @@ def run_experiments(
     try:
         finished: dict = {}
         pending: list = []
-        if checkpoint_dir is not None:
-            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
         for index, cell in enumerate(cells):
             key = cell.spec_key()
             if book is not None and key in book.state.completed:
@@ -373,18 +305,6 @@ def run_experiments(
                     ),
                 )
                 continue
-            if checkpoint_dir is not None:
-                rendered = _load_checkpoint(
-                    _checkpoint_path(checkpoint_dir, cell), cell, log
-                )
-                if rendered is not None:
-                    finished[index] = (cell.experiment_id, rendered)
-                    if book is not None:
-                        # Make the journal self-sufficient: a cell recovered
-                        # from a checkpoint is recorded as finished too.
-                        book.start(key, cell.experiment_id)
-                        book.finish(key, cell.experiment_id, rendered)
-                    continue
             pending.append(index)
 
         if pending:
@@ -404,24 +324,14 @@ def run_experiments(
                             outcome.detail,
                         )
                     return
-                _, rendered = outcome
-                if checkpoint_dir is not None:
-                    from repro.io import save_experiment_cell
-
-                    save_experiment_cell(
-                        _checkpoint_path(checkpoint_dir, cell), cell, rendered
-                    )
                 if book is not None:
-                    book.finish(cell.spec_key(), cell.experiment_id, rendered)
+                    book.finish(cell.spec_key(), cell.experiment_id, outcome[1])
 
             if book is not None:
                 for index in pending:
                     book.start(cells[index].spec_key(), cells[index].experiment_id)
 
-            fleet = supervised or (
-                isinstance(executor, str) and executor == "supervised"
-            )
-            if fleet and not hasattr(executor, "map_ordered"):
+            if executor == "process":
                 scope = SupervisedProcessExecutor(
                     workers,
                     retry_policy=retry_policy,
@@ -431,13 +341,11 @@ def run_experiments(
                     events=log,
                 )
             else:
-                scope = executor
+                scope = executor_scope(executor, workers)
             payloads = [cells[i].to_dict() for i in pending]
-            with executor_scope(scope, workers) as ex:
-                if hasattr(ex, "map_supervised"):
-                    fresh = ex.map_supervised(_render_cell, payloads, progress=on_done)
-                else:
-                    fresh = ex.map_ordered(_render_cell, payloads, progress=on_done)
+            with scope as ex:
+                run = getattr(ex, "map_supervised", ex.map_ordered)
+                fresh = run(_render_cell, payloads, progress=on_done)
             for index, outcome in zip(pending, fresh):
                 if isinstance(outcome, PoisonedTask):
                     cell = cells[index]

@@ -16,18 +16,14 @@ from repro.io.serialize import (
     append_metrics,
     benchmark_data_to_dict,
     benchmark_data_from_dict,
-    experiment_cell_from_dict,
-    experiment_cell_to_dict,
     fits_to_dict,
     fits_from_dict,
-    load_experiment_cell,
     load_metrics,
     load_spec,
     metrics_snapshot_from_dict,
     metrics_snapshot_to_dict,
     save_benchmarks,
     load_benchmarks,
-    save_experiment_cell,
     save_fits,
     load_fits,
     save_spec,
@@ -40,18 +36,14 @@ __all__ = [
     "append_metrics",
     "benchmark_data_to_dict",
     "benchmark_data_from_dict",
-    "experiment_cell_from_dict",
-    "experiment_cell_to_dict",
     "fits_to_dict",
     "fits_from_dict",
-    "load_experiment_cell",
     "load_metrics",
     "load_spec",
     "metrics_snapshot_from_dict",
     "metrics_snapshot_to_dict",
     "save_benchmarks",
     "load_benchmarks",
-    "save_experiment_cell",
     "save_fits",
     "load_fits",
     "save_spec",

@@ -1,14 +1,14 @@
 """Durable run journal: a write-ahead log that survives a hard kill.
 
-Checkpoints (one JSON file per finished cell) make *finished* work
-recoverable; the journal makes the *run itself* recoverable.  Every fleet
-run appends fsync'd records to one JSONL file:
+The journal is the one resume mechanism for experiment batches: it makes
+both finished work and the *run itself* recoverable.  Every fleet run
+appends fsync'd records to one JSONL file:
 
 - ``plan`` — the batch being run (experiment ids + seed), written once
   when the journal is new.  ``exp resume`` reconstructs the run from it.
 - ``start`` — a cell was dispatched.
 - ``finish`` — a cell completed; carries the rendered report text inline,
-  so the journal alone (no checkpoint directory) is enough to resume.
+  so the journal alone is enough to resume.
 - ``poison`` — a cell was quarantined after its retry budget.
 
 Records are canonical JSON (:func:`~repro.spec.schema.canonical_json`)

@@ -17,7 +17,7 @@ from repro.cesm.components import ComponentId
 from repro.exceptions import ConfigurationError
 from repro.fitting.perfmodel import PerfModel
 from repro.hslb.gather import BenchmarkData
-from repro.spec.schema import check_schema, spec_key, stamp
+from repro.spec.schema import check_schema, stamp
 
 
 # -- benchmark data --------------------------------------------------------------
@@ -198,39 +198,3 @@ def load_metrics(path) -> list:
         if line:
             out.append(metrics_snapshot_from_dict(json.loads(line)))
     return out
-
-
-# -- experiment cells (checkpoint/resume) --------------------------------------------
-
-
-def experiment_cell_to_dict(cell_spec, rendered: str) -> dict:
-    """One finished experiment cell: its spec, the spec's hash, its output."""
-    payload = cell_spec.to_dict()
-    return stamp(
-        {"spec": payload, "spec_key": spec_key(payload), "rendered": str(rendered)},
-        "experiment-cell",
-    )
-
-
-def experiment_cell_from_dict(payload: dict) -> tuple:
-    """Returns ``(spec_payload, spec_key, rendered_text)``; validates the hash."""
-    check_schema(payload, "experiment-cell")
-    spec_payload = payload["spec"]
-    recorded = payload["spec_key"]
-    actual = spec_key(spec_payload)
-    if recorded != actual:
-        raise ConfigurationError(
-            f"experiment cell is corrupt: recorded spec_key {recorded} "
-            f"does not match its spec ({actual})"
-        )
-    return spec_payload, recorded, payload["rendered"]
-
-
-def save_experiment_cell(path, cell_spec, rendered: str) -> None:
-    Path(path).write_text(
-        json.dumps(experiment_cell_to_dict(cell_spec, rendered), indent=2, sort_keys=True)
-    )
-
-
-def load_experiment_cell(path) -> tuple:
-    return experiment_cell_from_dict(json.loads(Path(path).read_text()))

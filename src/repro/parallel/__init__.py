@@ -2,9 +2,10 @@
 
 - :mod:`repro.parallel.executor` — pluggable ``serial``/``thread``/
   ``process`` backends with submission-order result merging,
-- :mod:`repro.parallel.supervised` — the ``supervised`` backend: monitored
+- :mod:`repro.parallel.supervised` — the ``process`` backend: monitored
   workers (heartbeats, per-task deadlines), crash/hang detection with
-  respawn, bounded retries, and :class:`PoisonedTask` quarantine,
+  respawn, bounded retries, :class:`PoisonedTask` quarantine, and workers
+  that exit when their parent dies,
 - :mod:`repro.parallel.merge` — the ordered-merge rule itself,
 - :mod:`repro.parallel.latency` — a job-latency wrapper so speedups are
   measurable against the instant synthetic simulator.
@@ -17,7 +18,6 @@ property-based harness that enforces it.
 
 from repro.parallel.executor import (
     EXECUTOR_KINDS,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     executor_scope,
@@ -31,7 +31,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "SupervisedProcessExecutor",
     "PoisonedTask",
     "get_executor",

@@ -17,14 +17,13 @@ Backends:
 - :class:`ThreadExecutor` — a thread pool.  Payloads may share objects with
   the caller; tasks must only touch thread-safe state (the library's task
   functions are pure, or touch per-task keys only).
-- :class:`ProcessExecutor` — a process pool.  Task functions and payloads
-  must be picklable (module-level functions, dataclass payloads); workers
-  operate on *copies*, so any state a task mutates must be returned in its
-  result and merged back by the caller.
-- ``"supervised"`` — :class:`~repro.parallel.supervised.SupervisedProcessExecutor`,
+- ``"process"`` — :class:`~repro.parallel.supervised.SupervisedProcessExecutor`,
   a process pool whose workers are monitored (heartbeats, per-task
   deadlines) and respawned after crashes/hangs, with lost tasks retried
-  deterministically.  Same clean-path results, survives SIGKILL'd workers.
+  deterministically.  Task functions and payloads must be picklable
+  (module-level functions, dataclass payloads); workers operate on
+  *copies*, so any state a task mutates must be returned in its result
+  and merged back by the caller.
 
 ``submit`` offers a future-shaped escape hatch for speculative evaluation
 (the MINLP solvers use it for sibling nodes); ``SerialExecutor.submit`` is
@@ -34,27 +33,21 @@ lazy so that unconsumed speculation costs nothing in serial mode.
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
-from repro.exceptions import ConfigurationError, WorkerCrashError
+from repro.exceptions import ConfigurationError
 from repro.parallel.merge import TaskFailure, ordered_merge
 
 __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "get_executor",
     "executor_scope",
     "EXECUTOR_KINDS",
 ]
 
-EXECUTOR_KINDS = ("serial", "thread", "process", "supervised")
+EXECUTOR_KINDS = ("serial", "thread", "process")
 
 
 def _default_workers() -> int:
@@ -62,10 +55,7 @@ def _default_workers() -> int:
 
 
 def _guarded(fn, payload):
-    """Run one task, converting its exception into a mergeable value.
-
-    Module-level so process pools can pickle it by reference.
-    """
+    """Run one task, converting its exception into a mergeable value."""
     try:
         return fn(payload)
     except BaseException as exc:  # noqa: BLE001 - re-raised by ordered_merge
@@ -130,10 +120,10 @@ class SerialExecutor:
         return False
 
 
-class _PoolExecutor:
-    """Shared plumbing for the thread and process backends."""
+class ThreadExecutor:
+    """Thread-pool backend (shared-memory tasks, GIL-releasing workloads)."""
 
-    kind = "pool"
+    kind = "thread"
 
     def __init__(self, workers: int | None = None):
         workers = _default_workers() if workers is None else int(workers)
@@ -142,13 +132,12 @@ class _PoolExecutor:
         self.workers = workers
         self._pool = None
 
-    def _make_pool(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
     @property
-    def pool(self):
+    def pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-parallel"
+            )
         return self._pool
 
     def map_ordered(self, fn, payloads, progress=None) -> list:
@@ -160,34 +149,14 @@ class _PoolExecutor:
             for index, payload in enumerate(payloads)
         }
         pairs = []
-        broken = False
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 index = pending.pop(future)
-                try:
-                    outcome = future.result()
-                except Exception as exc:
-                    # Task exceptions never reach here (_guarded wraps them);
-                    # this is pool-level damage — a worker SIGKILL'd mid-task
-                    # breaks every in-flight future.  Carrying it as a
-                    # TaskFailure keeps the one rule intact: the *earliest
-                    # submitted* loss raises, not whichever future the wait
-                    # happened to surface first.
-                    broken = True
-                    outcome = TaskFailure(
-                        WorkerCrashError(
-                            f"worker process lost task {index} "
-                            f"({type(exc).__name__}: {exc})"
-                        )
-                    )
+                outcome = future.result()
                 if progress is not None and not isinstance(outcome, TaskFailure):
                     progress(index, outcome)
                 pairs.append((index, outcome))
-        if broken:
-            # The pool is unusable after an abnormal worker exit; drop it so
-            # the next map on this executor starts a fresh one.
-            self.shutdown()
         return ordered_merge(pairs, len(payloads))
 
     def submit(self, fn, *args):
@@ -206,33 +175,6 @@ class _PoolExecutor:
         return False
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool backend (shared-memory tasks, GIL-releasing workloads)."""
-
-    kind = "thread"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-parallel"
-        )
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool backend; task functions and payloads must pickle."""
-
-    kind = "process"
-
-    def _make_pool(self):
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-
-_BACKENDS = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
-
-
 def get_executor(spec, workers: int | None = None):
     """Normalize ``spec`` (name, ``None``, or executor) to an executor.
 
@@ -240,23 +182,21 @@ def get_executor(spec, workers: int | None = None):
     object that already quacks like an executor passes through unchanged
     (the caller owns its lifecycle).
     """
-    if spec is None:
-        return SerialExecutor()
     if hasattr(spec, "map_ordered"):
         return spec
-    if str(spec) == "supervised":
-        # Imported lazily: repro.parallel.supervised pulls in the
-        # resilience layer, which plain executors must not depend on.
+    name = "serial" if spec is None else str(spec)
+    if name == "serial":
+        return SerialExecutor()
+    if name == "thread":
+        return ThreadExecutor(workers)
+    if name == "process":
+        # Imported lazily: repro.parallel.supervised builds on this module.
         from repro.parallel.supervised import SupervisedProcessExecutor
 
         return SupervisedProcessExecutor(workers)
-    try:
-        backend = _BACKENDS[str(spec)]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown executor {spec!r}; expected one of {EXECUTOR_KINDS}"
-        ) from None
-    return backend(workers) if backend is not SerialExecutor else SerialExecutor()
+    raise ConfigurationError(
+        f"unknown executor {spec!r}; expected one of {EXECUTOR_KINDS}"
+    )
 
 
 @contextmanager

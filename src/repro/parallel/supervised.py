@@ -1,10 +1,9 @@
-"""Supervised process execution: crash/hang detection, respawn, quarantine.
+"""The ``process`` backend: supervised workers with crash/hang recovery.
 
-The plain :class:`~repro.parallel.executor.ProcessExecutor` trusts its
-workers: a worker that is SIGKILL'd (OOM killer, preempted node) breaks the
-whole pool, and a worker that wedges holds its task forever.  Fleet-scale
-experiment runs cannot afford either, so this module runs workers under
-*supervision*:
+A bare process pool trusts its workers: a worker that is SIGKILL'd (OOM
+killer, preempted node) breaks the whole pool, and a worker that wedges
+holds its task forever.  Fleet-scale experiment runs cannot afford either,
+so the one process backend runs its workers under *supervision*:
 
 - each worker is a long-lived process driven over a duplex pipe, sending a
   **heartbeat** at a fixed interval while it holds a task;
@@ -19,7 +18,9 @@ experiment runs cannot afford either, so this module runs workers under
   sinking the run;
 - every intervention lands on an
   :class:`~repro.resilience.events.EventLog` as a typed event
-  (``WORKER_CRASH``/``WORKER_HANG``/``WORKER_RESPAWN``/``TASK_POISONED``).
+  (``WORKER_CRASH``/``WORKER_HANG``/``WORKER_RESPAWN``/``TASK_POISONED``);
+- a worker whose supervisor dies (even by SIGKILL) notices within one
+  heartbeat interval and exits, so no worker outlives its parent.
 
 Results are merged in submission order like every other backend, so the
 clean path is bit-identical to serial; supervision is pure overhead until
@@ -41,6 +42,7 @@ Two entry points:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -95,14 +97,22 @@ class PoisonedTask:
         )
 
 
-def _worker_main(conn, heartbeat_interval: float) -> None:
-    """Long-lived worker loop: recv task, beat while busy, send outcome."""
+def _worker_main(conn, heartbeat_interval: float, supervisor_pid: int) -> None:
+    """Long-lived worker loop: recv task, beat while busy, send outcome.
+
+    The heartbeat thread also watches the parent: a forked worker inherits
+    the supervisor-side ends of the pipes, so a dead supervisor never shows
+    up as EOF here.  Once re-parented (``getppid`` no longer matches the
+    ``supervisor_pid`` captured before the fork) the worker exits at once.
+    """
     send_lock = threading.Lock()
     current: dict = {"task_id": None}
     stop = threading.Event()
 
     def _beat() -> None:
         while not stop.wait(heartbeat_interval):
+            if os.getppid() != supervisor_pid:
+                os._exit(1)
             task_id = current["task_id"]
             if task_id is None:
                 continue
@@ -169,7 +179,7 @@ class _Worker:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, heartbeat_interval),
+            args=(child_conn, heartbeat_interval, os.getpid()),
             daemon=True,
         )
         self.proc.start()
@@ -212,8 +222,8 @@ class SupervisedProcessExecutor:
     """Process pool with heartbeats, deadlines, respawn and quarantine.
 
     Drop-in for the executor contract (``map_ordered``/``submit``/
-    ``shutdown``); ``get_executor("supervised")`` builds one with
-    defaults.  Knobs:
+    ``shutdown``); ``get_executor("process")`` builds one with defaults.
+    Knobs:
 
     - ``retry_policy`` — re-dispatch budget for *lost* (crashed/hung)
       tasks; ``max_attempts`` counts the first dispatch.  Deterministic
@@ -231,7 +241,7 @@ class SupervisedProcessExecutor:
       receives supervision events (a fresh private log by default).
     """
 
-    kind = "supervised"
+    kind = "process"
 
     def __init__(
         self,

@@ -43,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--all", action="store_true", dest="run_all",
                        help="run every registered experiment in order")
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="save each finished cell (keyed by its spec hash) and resume "
-        "an interrupted batch by replaying only the missing cells",
-    )
     fleet = p_exp.add_argument_group("crash-safe fleet execution")
     fleet.add_argument(
         "--journal",
@@ -57,30 +51,23 @@ def build_parser() -> argparse.ArgumentParser:
         "'hslb exp resume --journal FILE' recovers a killed run from it",
     )
     fleet.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run cells under the supervised process pool (crashed/hung "
-        "workers respawned, lost cells retried, exhausted cells "
-        "quarantined instead of failing the run)",
-    )
-    fleet.add_argument(
         "--task-deadline",
         type=float,
         metavar="SECONDS",
-        help="per-cell wall-clock budget under --supervised; a cell past "
+        help="per-cell wall-clock budget under --executor process; a cell past "
         "it is treated as hung and its worker killed",
     )
     fleet.add_argument(
         "--max-retries",
         type=int,
         metavar="N",
-        help="dispatch attempts per lost cell under --supervised before "
+        help="dispatch attempts per lost cell under --executor process before "
         "quarantine (default: 4)",
     )
     fleet.add_argument(
         "--chaos",
         metavar="SPEC",
-        help="inject deterministic worker faults under --supervised, e.g. "
+        help="inject deterministic worker faults under --executor process, e.g. "
         "'kill=0.3,hang=0.1,hang_s=5' (testing the fault path)",
     )
     _add_parallel_args(p_exp)
@@ -408,8 +395,6 @@ def _fleet_kwargs(args) -> dict:
     kwargs: dict = {}
     if args.journal:
         kwargs["journal"] = args.journal
-    if args.supervised:
-        kwargs["supervised"] = True
     if args.task_deadline is not None:
         kwargs["task_deadline"] = args.task_deadline
     if args.max_retries is not None:
@@ -465,7 +450,6 @@ def _exp_resume(args) -> int:
     rendered = run_experiments(
         state.plan["experiment_ids"],
         seed=state.plan["seed"],
-        checkpoint_dir=args.checkpoint_dir,
         events=events,
         **kwargs,
         **_parallel_kwargs(args),
@@ -489,7 +473,6 @@ def cmd_exp(args) -> int:
         rendered = run_experiments(
             list(EXPERIMENTS),
             seed=args.seed,
-            checkpoint_dir=args.checkpoint_dir,
             events=events,
             **fleet_kwargs,
             **_parallel_kwargs(args),
@@ -500,12 +483,11 @@ def cmd_exp(args) -> int:
     if args.id is None:
         print("error: give an experiment id or --all", file=sys.stderr)
         return 1
-    if args.checkpoint_dir is not None or fleet_kwargs:
+    if fleet_kwargs:
         events = EventLog()
         rendered = run_experiments(
             [args.id],
             seed=args.seed,
-            checkpoint_dir=args.checkpoint_dir,
             events=events,
             **fleet_kwargs,
             **_parallel_kwargs(args),

@@ -15,7 +15,7 @@ the four HSLB stages survive that:
 - :mod:`repro.resilience.events` — the typed :class:`EventLog` every
   retry, rejection, fallback and degradation is appended to.
 - :mod:`repro.resilience.chaos` — process-level chaos: deterministic
-  worker SIGKILLs, hangs, and checkpoint/journal corruption driving the
+  worker SIGKILLs, hangs, and journal corruption driving the
   kill-matrix CI (see :mod:`repro.parallel.supervised`).
 
 See ``docs/robustness.md`` for the full fault model and semantics.

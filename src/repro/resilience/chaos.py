@@ -10,7 +10,7 @@ cluster.  Three failure modes, all deterministic by seed:
   OOM killer or a preempted node looks like from the parent.
 - **Worker hang**: the worker sleeps far past its task deadline, like a
   solve stuck in a pathological basin or a job wedged on dead storage.
-- **File corruption**: a checkpoint or journal file is truncated, left
+- **File corruption**: a journal (or any other) file is truncated, left
   with a torn tail record, or overwritten with garbage — the three shapes
   a hard kill mid-write leaves behind.
 

@@ -36,7 +36,6 @@ class EventKind(enum.Enum):
     WORKER_RESPAWN = "worker_respawn"    # replacement worker process started
     TASK_POISONED = "task_poisoned"      # task quarantined after its retry budget
     JOURNAL_RECOVERED = "journal_recovered"  # cell result replayed from the journal
-    CHECKPOINT_QUARANTINED = "checkpoint_quarantined"  # bad file moved to *.corrupt
     REQUEST_REJECTED = "request_rejected"    # admission queue full; typed refusal sent
     REQUEST_EXPIRED = "request_expired"      # per-request Deadline ran out in queue
     BATCH_DISPATCHED = "batch_dispatched"    # compatible requests sent as one family solve

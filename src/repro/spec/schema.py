@@ -53,7 +53,7 @@ def spec_key(payload) -> str:
     Two payloads share a key iff their canonical JSON is byte-identical —
     the dict/list/str/number structure is equal, with floats compared by
     bits.  Keys are plain hex strings, stable across processes and
-    machines, which is what lets warm pools, caches and checkpoint files
+    machines, which is what lets warm pools, caches and run journals
     survive serialization boundaries.
     """
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

@@ -1,4 +1,4 @@
-"""Crash-safe ``run_experiments``: journal resume, quarantine, hardening.
+"""Crash-safe ``run_experiments``: journal resume and quarantine.
 
 Most tests monkeypatch two fast fake experiments into the registry so the
 scheduling/durability machinery is exercised without paying for real
@@ -6,21 +6,17 @@ pipeline runs; the supervised-integration tests at the bottom use real
 (small) experiments because process workers cannot see a monkeypatch.
 """
 
-import json
-
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import registry
 from repro.experiments.registry import (
     ExperimentCellSpec,
-    _checkpoint_path,
     quarantine_text,
     run_experiments,
 )
 from repro.io.journal import RunJournal
 from repro.resilience import ChaosProfile, EventLog, RetryPolicy
-from repro.resilience.chaos import corrupt_file
 from repro.resilience.events import EventKind
 
 
@@ -127,69 +123,15 @@ class TestJournalResume:
         with pytest.raises(ConfigurationError, match="different run"):
             run_experiments(["fake-a"], seed=1, journal=journal)
 
-    def test_checkpoint_recovery_backfills_the_journal(
-        self, fake_experiments, tmp_path
-    ):
-        # A cell recovered from a checkpoint is journaled as finished, so
-        # later resumes need only the journal.
-        checkpoints = tmp_path / "ckpt"
-        run_experiments(IDS, seed=0, checkpoint_dir=checkpoints)
-        journal = tmp_path / "run.jsonl"
-        run_experiments(IDS, seed=0, checkpoint_dir=checkpoints, journal=journal)
-        assert fake_experiments["fake-a"] == 1, "checkpoint satisfied the cell"
-        assert len(RunJournal.read(journal).completed) == 2
-
-
-class TestCheckpointHardening:
-    def _checkpointed(self, tmp_path, fake_experiments):
-        checkpoints = tmp_path / "ckpt"
-        run_experiments(IDS, seed=0, checkpoint_dir=checkpoints)
-        return checkpoints, _checkpoint_path(checkpoints, ExperimentCellSpec("fake-a", 0))
-
-    @pytest.mark.parametrize("damage", ["truncate", "garbage", "not-json"])
-    def test_corrupt_checkpoint_is_quarantined_not_fatal(
-        self, fake_experiments, tmp_path, damage
-    ):
-        checkpoints, path = self._checkpointed(tmp_path, fake_experiments)
-        if damage == "not-json":
-            path.write_text("this is not json {")
-        else:
-            corrupt_file(path, seed=0, mode=damage)
-        events = EventLog()
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            got = run_experiments(
-                IDS, seed=0, checkpoint_dir=checkpoints, events=events
-            )
-        assert got[0][1] == "fake-a rendered (seed=0)", "cell re-ran cleanly"
-        assert fake_experiments["fake-a"] == 2
-        assert (checkpoints / (path.name + ".corrupt")).exists()
-        assert path.exists(), "a fresh checkpoint replaced the corrupt one"
-        assert events.of_kind(EventKind.CHECKPOINT_QUARANTINED)
-
-    def test_spec_key_mismatch_is_quarantined(self, fake_experiments, tmp_path):
-        checkpoints, path = self._checkpointed(tmp_path, fake_experiments)
-        # Graft another cell's valid checkpoint into this cell's file name:
-        # the payload is self-consistent, but it is not *this* cell.
-        other = _checkpoint_path(checkpoints, ExperimentCellSpec("fake-b", 0))
-        path.write_text(other.read_text())
-        with pytest.warns(RuntimeWarning, match="spec_key mismatch"):
-            got = run_experiments(IDS, seed=0, checkpoint_dir=checkpoints)
-        assert got[0][1] == "fake-a rendered (seed=0)"
-        assert fake_experiments["fake-a"] == 2, "mismatched file is never trusted"
-
-    def test_clean_checkpoints_still_short_circuit(self, fake_experiments, tmp_path):
-        checkpoints, _ = self._checkpointed(tmp_path, fake_experiments)
-        got = run_experiments(IDS, seed=0, checkpoint_dir=checkpoints)
-        assert fake_experiments == {"fake-a": 1, "fake-b": 1}
-        assert got[0][1] == "fake-a rendered (seed=0)"
-
 
 class TestSupervisedIntegration:
-    """Real experiments under the supervised pool (workers can't see mocks)."""
+    """Real experiments on the process backend (workers can't see mocks)."""
 
     def test_supervised_matches_serial(self):
         reference = run_experiments(["t3-1"], seed=0)
-        supervised = run_experiments(["t3-1"], seed=0, supervised=True, workers=2)
+        supervised = run_experiments(
+            ["t3-1"], seed=0, executor="process", workers=2
+        )
         assert supervised == reference
 
     def test_poisoned_cell_degrades_the_rollup(self, tmp_path):
@@ -200,7 +142,7 @@ class TestSupervisedIntegration:
         got = run_experiments(
             ["t3-1"],
             seed=0,
-            supervised=True,
+            executor="process",
             workers=2,
             journal=journal,
             chaos=ChaosProfile(kill_probability=1.0),

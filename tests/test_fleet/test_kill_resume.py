@@ -4,7 +4,7 @@ The acceptance property for the whole durability stack: a run killed at a
 chaos-chosen instant (``kill_instant`` picks how many cells may finish
 first), then resumed from its journal, must produce a roll-up
 *bit-identical* to a run that was never interrupted — on every execution
-backend.
+backend.  No worker of the killed run may outlive it.
 
 The ``chaos`` marker lets CI run these in a dedicated kill-matrix job
 across several seeds (``pytest -m chaos`` with ``REPRO_CHAOS_SEEDS=0,1,2``);
@@ -23,6 +23,7 @@ import pytest
 from repro.experiments import run_experiments
 from repro.io.journal import RunJournal
 from repro.resilience.chaos import kill_instant
+from tests.test_parallel.test_supervised import wait_until_gone
 
 SEEDS = [int(s) for s in os.environ.get("REPRO_CHAOS_SEEDS", "0").split(",")]
 
@@ -47,38 +48,54 @@ def _reference(seed: int):
     return _references[seed]
 
 
-def _run_child_and_kill(journal: Path, seed: int, executor: str) -> int:
+def _children(pid: int) -> list:
+    """Direct child pids of ``pid`` (empty if it is gone or has none)."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as handle:
+            return [int(child) for child in handle.read().split()]
+    except OSError:
+        return []
+
+
+def _run_child_and_kill(journal: Path, seed: int, executor: str) -> tuple:
     """Start a journaled fleet run in a child and SIGKILL it.
 
-    The kill fires once the journal shows ``kill_instant(seed, n)`` cells
-    finished — i.e. at a deterministic, seed-chosen point in the run's
-    life.  Returns how many cells had finished when the child died (the
-    child may legitimately win the race and finish everything).
+    The kill fires once the journal shows the run's plan and
+    ``kill_instant(seed, n)`` cells finished — i.e. at a deterministic,
+    seed-chosen point in the run's life (instant 0 is "started, nothing
+    finished", not "before the child wrote anything").  Returns how many
+    cells had finished when the child died (the child may legitimately win
+    the race and finish everything), and the child's own children read just
+    before the kill.
     """
     target = kill_instant(seed, len(IDS))
     script = _CHILD.format(
         ids=IDS, seed=seed, journal=str(journal), executor=executor
     )
     child = subprocess.Popen([sys.executable, "-c", script], env=os.environ)
+    workers: list = []
     try:
         deadline = time.monotonic() + 300.0
         while child.poll() is None and time.monotonic() < deadline:
-            finished = 0
+            started, finished = False, 0
             if journal.exists():
                 try:
-                    finished = len(RunJournal.read(journal).completed)
+                    state = RunJournal.read(journal)
+                    started = state.plan is not None
+                    finished = len(state.completed)
                 except Exception:
-                    finished = 0  # mid-write; try again next tick
-            if finished >= target:
+                    pass  # mid-write; try again next tick
+            if started and finished >= target:
+                workers = _children(child.pid)
                 child.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.01)
     finally:
         child.wait(timeout=60)
     try:
-        return len(RunJournal.read(journal).completed)
+        return len(RunJournal.read(journal).completed), workers
     except Exception:
-        return 0
+        return 0, workers
 
 
 @pytest.mark.chaos
@@ -89,7 +106,10 @@ class TestKillResumeParity:
         self, tmp_path, executor, seed
     ):
         journal = tmp_path / f"fleet-{executor}-s{seed}.jsonl"
-        finished_at_kill = _run_child_and_kill(journal, seed, executor)
+        finished_at_kill, workers = _run_child_and_kill(journal, seed, executor)
+        assert wait_until_gone(workers) == [], (
+            f"{executor} seed {seed}: workers outlived the killed run"
+        )
 
         state = RunJournal.read(journal)
         assert state.plan is not None, "the plan record must be durable"

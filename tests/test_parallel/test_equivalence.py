@@ -16,6 +16,7 @@ from repro.cesm import CoupledRunSimulator, make_case
 from repro.exceptions import GatherError
 from repro.hslb import HSLBPipeline, fit_components, gather_benchmarks, solve_allocation
 from repro.minlp import MINLPOptions
+from repro.parallel import SupervisedProcessExecutor
 from repro.resilience import EventLog, FaultProfile, FaultySimulator, RetryPolicy
 
 BACKENDS = ["thread", "process"]
@@ -32,6 +33,27 @@ def _assert_same_data(ref, got, context=""):
         assert np.array_equal(ref.times(comp), got.times(comp)), (context, comp)
 
 
+def _assert_faulty_gather_parity(executor, workers, layout):
+    """Data, merged events and post-gather fault state all match serial."""
+    case = make_case("1deg", 128, layout=layout)
+
+    def run(executor, workers):
+        sim = FaultySimulator(CoupledRunSimulator(case), CHAOS)
+        events = EventLog()
+        data = gather_benchmarks(
+            sim, points=5, policy=RetryPolicy(), events=events,
+            executor=executor, workers=workers,
+        )
+        return data, events, sim.attempt_counts()
+
+    ref_data, ref_events, ref_attempts = run(None, None)
+    got_data, got_events, got_attempts = run(executor, workers)
+    _assert_same_data(ref_data, got_data, f"layout {layout} {executor}")
+    assert got_events == ref_events
+    assert got_attempts == ref_attempts
+    assert ref_attempts, "the fault profile must actually fire"
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestGatherEquivalence:
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -44,22 +66,7 @@ class TestGatherEquivalence:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_faulty_gather_data_events_and_state(self, backend, layout):
-        case = make_case("1deg", 128, layout=layout)
-
-        def run(executor, workers):
-            sim = FaultySimulator(CoupledRunSimulator(case), CHAOS)
-            events = EventLog()
-            data = gather_benchmarks(
-                sim, points=5, policy=RetryPolicy(), events=events,
-                executor=executor, workers=workers,
-            )
-            return data, events, sim.attempt_counts()
-
-        ref_data, ref_events, ref_attempts = run(None, None)
-        got_data, got_events, got_attempts = run(backend, 4)
-        _assert_same_data(ref_data, got_data, f"layout {layout} {backend}")
-        assert got_events == ref_events
-        assert got_attempts == ref_attempts
+        _assert_faulty_gather_parity(backend, 4, layout)
 
     def test_gather_error_matches_serial(self, backend):
         """A sweep that cannot save 3 points raises the same GatherError —
@@ -83,6 +90,14 @@ class TestGatherEquivalence:
         assert str(got_err) == str(ref_err)
         _assert_same_data(ref_err.partial, got_err.partial, backend)
         assert got_events == ref_events
+
+
+def test_faulty_gather_on_a_supervised_executor_instance():
+    # A SupervisedProcessExecutor instance must take the process path of
+    # the resilient gather: worker copies of the fault state are merged
+    # back, or the post-gather attempt counts come home empty.
+    with SupervisedProcessExecutor(2) as ex:
+        _assert_faulty_gather_parity(ex, 2, 1)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -8,7 +8,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.parallel import (
     EXECUTOR_KINDS,
-    ProcessExecutor,
     SerialExecutor,
     TaskFailure,
     ThreadExecutor,
@@ -112,7 +111,16 @@ class TestSerialExecutor:
         assert ran == [5]
 
 
-@pytest.mark.parametrize("backend", [ThreadExecutor, ProcessExecutor])
+def _process_executor(workers: int):
+    return get_executor("process", workers)
+
+
+# Stable test ids: "ProcessExecutor" names the ``process`` backend.
+@pytest.mark.parametrize(
+    "backend",
+    [ThreadExecutor, _process_executor],
+    ids=["ThreadExecutor", "ProcessExecutor"],
+)
 class TestPoolExecutors:
     def test_results_in_submission_order(self, backend):
         payloads = [_Payload(v) for v in range(10)]

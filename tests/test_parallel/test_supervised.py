@@ -1,12 +1,16 @@
-"""Supervised executor: crash/hang recovery, quarantine, clean-path parity.
+"""The ``process`` backend: crash/hang recovery, quarantine, clean-path
+parity, and workers that never outlive their parent.
 
-Also home to the abnormal-worker-exit semantics of the *plain* process
-pool: a SIGKILL'd worker breaks every in-flight future, and the one rule —
-the earliest-submitted loss raises — must survive that too.
+Also home to the abnormal-worker-exit semantics under ``map_ordered``: a
+SIGKILL'd worker still surfaces as a typed loss for the earliest-submitted
+task, and the pool stays usable afterwards.
 """
 
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -21,7 +25,6 @@ from repro.exceptions import (
 from repro.parallel import (
     EXECUTOR_KINDS,
     PoisonedTask,
-    ProcessExecutor,
     SerialExecutor,
     SupervisedProcessExecutor,
     TaskFailure,
@@ -60,6 +63,12 @@ def _suicide_on_two(payload: _Payload) -> int:
     if payload.value == 2:
         os.kill(os.getpid(), signal.SIGKILL)
     return payload.value * 10
+
+
+def _suicide_on_two_fail_on_five(payload: _Payload) -> int:
+    if payload.value == 5:
+        raise ValueError("later failure, must not win")
+    return _suicide_on_two(payload)
 
 
 def _sleep_forever(payload: _Payload) -> int:
@@ -226,10 +235,11 @@ class TestHangRecovery:
 
 class TestConstruction:
     def test_registered_backend(self):
-        assert "supervised" in EXECUTOR_KINDS
-        ex = get_executor("supervised", 2)
+        assert "process" in EXECUTOR_KINDS
+        assert "supervised" not in EXECUTOR_KINDS
+        ex = get_executor("process", 2)
         assert isinstance(ex, SupervisedProcessExecutor)
-        assert ex.kind == "supervised"
+        assert ex.kind == "process"
         ex.shutdown()
 
     def test_validation(self):
@@ -252,23 +262,25 @@ class TestConstruction:
 
 
 class TestAbnormalPoolExit:
-    """Plain ProcessExecutor semantics when a worker dies mid-batch."""
+    """``map_ordered`` on the process backend when a worker dies mid-batch."""
 
     def test_broken_pool_raises_worker_crash_for_earliest_task(self):
-        # The SIGKILL breaks every in-flight future (BrokenProcessPool),
-        # but what surfaces must still be a typed WorkerCrashError for the
-        # earliest-submitted lost task — not whichever future the wait
-        # happened to see first, and never a raw pool exception.
+        # Task 2 SIGKILLs its worker on every attempt, task 5 raises; once
+        # the retry budget is spent what surfaces is a typed
+        # WorkerCrashError for task 2 (the earliest-submitted loss), never
+        # a raw pool exception and never the later failure.
         payloads = [_Payload(v) for v in range(8)]
-        with ProcessExecutor(2) as ex:
-            with pytest.raises(WorkerCrashError):
-                ex.map_ordered(_suicide_on_two, payloads)
+        with get_executor("process", 2) as ex:
+            with pytest.raises(WorkerCrashError, match="task 2") as info:
+                ex.map_ordered(_suicide_on_two_fail_on_five, payloads)
+        assert info.value.attempts == ex.retry_policy.max_attempts
 
     def test_pool_is_rebuilt_after_abnormal_exit(self):
-        with ProcessExecutor(2) as ex:
+        with get_executor("process", 2) as ex:
             with pytest.raises(WorkerCrashError):
                 ex.map_ordered(_suicide_on_two, [_Payload(2)])
-            # The broken pool was dropped; the next map starts fresh.
+            # Every dead worker was respawned; the next map succeeds.
+            assert ex.stats["respawns"] == ex.retry_policy.max_attempts
             assert ex.map_ordered(_square, [_Payload(3)]) == [9]
 
     def test_ordered_merge_earliest_crash_wins(self):
@@ -287,3 +299,58 @@ class TestAbnormalPoolExit:
         merged = ordered_merge(pairs, 2)
         assert merged[0] == "ok"
         assert isinstance(merged[1], PoisonedTask)
+
+
+_ORPHAN_CHILD = """
+from repro.parallel import get_executor
+ex = get_executor("process", 2)
+ex.map_ordered(abs, [-1, -2, -3])
+print(" ".join(str(w.proc.pid) for w in ex._procs), flush=True)
+import time
+time.sleep(60)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state != "Z"
+
+
+def wait_until_gone(pids, timeout: float = 5.0) -> list:
+    """Poll until every pid has exited; returns the survivors."""
+    deadline = time.monotonic() + timeout
+    survivors = list(pids)
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.05)
+        survivors = [pid for pid in survivors if _alive(pid)]
+    return survivors
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs /proc to observe workers"
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_parent_is_sigkilled(self):
+        # A SIGKILL'd supervisor runs no cleanup at all: its workers must
+        # notice on their own and exit instead of lingering under pid 1.
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_CHILD],
+            stdout=subprocess.PIPE, text=True, env=os.environ,
+        )
+        watchdog = threading.Timer(120.0, child.kill)  # never block forever
+        watchdog.start()
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2, "the child must report its two workers"
+            assert all(_alive(pid) for pid in pids)
+        finally:
+            watchdog.cancel()
+            child.kill()
+            child.wait(timeout=30)
+            child.stdout.close()
+        assert wait_until_gone(pids) == [], "workers outlived their parent"

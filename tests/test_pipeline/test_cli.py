@@ -142,6 +142,27 @@ class TestResilienceFlags:
         assert "resilience events" not in out
 
 
+class TestFleetFlags:
+    @pytest.mark.parametrize("flag", ["--supervised", "--checkpoint-dir=ckpt"])
+    def test_removed_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["exp", "t3-1", flag])
+
+    def test_supervised_name_is_not_an_executor(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["exp", "t3-1", "--executor", "supervised"])
+
+    def test_fleet_flags_apply_under_the_process_executor(self, capsys):
+        # kill=1 with one attempt: the only cell is quarantined and the
+        # roll-up still completes.
+        code = main(["exp", "a-solve", "--executor", "process", "--workers", "1",
+                     "--max-retries", "1", "--chaos", "kill=1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "QUARANTINED" in out
+        assert "task_poisoned" in out
+
+
 class TestServiceCLI:
     def test_serve_args(self):
         args = build_parser().parse_args(
