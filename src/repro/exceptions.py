@@ -45,6 +45,13 @@ class DeadlineExceededError(SolverError):
     """A wall-clock :class:`~repro.resilience.Deadline` expired mid-stage."""
 
 
+class SolveInterrupted(ReproError):
+    """A caller's stop predicate fired inside a solve (a time limit or a
+    check hook).  Deliberately not a :class:`SolverError`: the solve did
+    not fail, it was told to stop, and no fallback should retry it.
+    The branch-and-bound solvers turn it into a ``TIME_LIMIT`` result."""
+
+
 class FittingError(ReproError):
     """Least-squares fitting failed (too few points, degenerate data...)."""
 

@@ -10,12 +10,13 @@ ablations meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
 import numpy as np
 
-from repro.exceptions import ModelError, SolverError
+from repro.exceptions import ModelError, SolveInterrupted, SolverError
 from repro.kernels import KernelCache
 from repro.model.model import Model
 from repro.minlp.branching import (
@@ -74,11 +75,11 @@ class _NLPSpec:
         self.handle = handle
 
 
-def _solve_spec_nlp(problem, x0, options):
-    return solve_nlp(problem, x0=x0, options=options)
+def _solve_spec_nlp(problem, x0, options, stop):
+    return solve_nlp(problem, x0=x0, options=options, stop=stop)
 
 
-def _speculate_nlp(model, obj_expr, node: Node, cache, opt, ex) -> _NLPSpec:
+def _speculate_nlp(model, obj_expr, node: Node, cache, opt, ex, stop) -> _NLPSpec:
     built = build_nlp(
         model, obj_expr, fixings={}, bounds=node.bounds,
         kernel_cache=cache, evaluator=opt.evaluator,
@@ -87,7 +88,7 @@ def _speculate_nlp(model, obj_expr, node: Node, cache, opt, ex) -> _NLPSpec:
     handle = None
     if built.infeasible_reason is None and not built.fully_fixed:
         x0 = _warm_x0(node, built.problem)
-        handle = ex.submit(_solve_spec_nlp, built.problem, x0, opt.nlp_options)
+        handle = ex.submit(_solve_spec_nlp, built.problem, x0, opt.nlp_options, stop)
     return _NLPSpec(built, x0, handle)
 
 
@@ -96,6 +97,8 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
     opt = options or MINLPOptions()
     sw = Stopwatch()
     t0 = time.monotonic()
+    # Polled between nodes and once per barrier Newton iteration.
+    stop = functools.partial(opt.stop_reason, t0)
     telemetry.count(metric.MINLP_SOLVES, solver="bnb")
     if model.objective is None:
         raise ModelError("model has no objective")
@@ -126,18 +129,6 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
         with sw.phase("reuse_plan"):
             plan = reuse.plan(model)
         rz = dict(plan.counters)
-        if plan.fixings is not None:
-            with sw.phase("nlp_seed"):
-                cand_env, cand_obj, solved = _solve_fixed_nlp(
-                    model, obj_expr, plan.fixings, opt, cache
-                )
-                nlp_solves += solved
-                telemetry.count(metric.MINLP_NLP_SOLVES, solved, solver="bnb")
-            if cand_env is not None and math.isfinite(cand_obj):
-                upper, incumbent = cand_obj, cand_env
-                rz["incumbent_seeded"] = 1
-            else:
-                rz["incumbent_rejected"] = rz.get("incumbent_rejected", 0) + 1
 
     queue = NodeQueue(opt.node_selection)
     root = Node()
@@ -156,7 +147,7 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
 
     def push_child(child: Node) -> None:
         if ex is not None:
-            child.spec = _speculate_nlp(model, obj_expr, child, cache, opt, ex)
+            child.spec = _speculate_nlp(model, obj_expr, child, cache, opt, ex, stop)
         queue.push(child)
 
     def cutoff() -> float:
@@ -164,16 +155,28 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
             return math.inf
         return upper - max(opt.abs_gap, opt.rel_gap * max(1.0, abs(upper)))
 
+    node = None  # the node in flight when a solve is interrupted
     try:
+        if plan is not None and plan.fixings is not None:
+            with sw.phase("nlp_seed"):
+                cand_env, cand_obj, solved = _solve_fixed_nlp(
+                    model, obj_expr, plan.fixings, opt, cache, stop
+                )
+                nlp_solves += solved
+                telemetry.count(metric.MINLP_NLP_SOLVES, solved, solver="bnb")
+            if cand_env is not None and math.isfinite(cand_obj):
+                upper, incumbent = cand_obj, cand_env
+                rz["incumbent_seeded"] = 1
+            else:
+                rz["incumbent_rejected"] = rz.get("incumbent_rejected", 0) + 1
+
         while len(queue):
             if nodes >= opt.max_nodes:
                 status, message = MINLPStatus.NODE_LIMIT, f"{nodes} nodes explored"
                 break
-            if time.monotonic() - t0 > opt.time_limit:
-                status, message = MINLPStatus.TIME_LIMIT, "time limit reached"
-                break
-            if opt.check_hook is not None and opt.check_hook():
-                status, message = MINLPStatus.TIME_LIMIT, "stopped by check hook"
+            reason = stop()
+            if reason:
+                status, message = MINLPStatus.TIME_LIMIT, reason
                 break
 
             node = queue.pop()
@@ -206,7 +209,8 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
                         res = spec.handle.result()
                     else:
                         x0 = _warm_x0(node, built.problem)
-                        res = solve_nlp(built.problem, x0=x0, options=opt.nlp_options)
+                        res = solve_nlp(built.problem, x0=x0,
+                                        options=opt.nlp_options, stop=stop)
                 nlp_solves += 1
                 telemetry.count(metric.MINLP_NLP_SOLVES, solver="bnb")
                 if res.x is None:
@@ -242,7 +246,7 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
                     }
                     with sw.phase("nlp_fixed"):
                         cand_env, cand_obj, solved = _solve_fixed_nlp(
-                            model, obj_expr, fixings, opt, cache
+                            model, obj_expr, fixings, opt, cache, stop
                         )
                         nlp_solves += solved
                         telemetry.count(metric.MINLP_NLP_SOLVES, solved, solver="bnb")
@@ -269,6 +273,12 @@ def solve_nlp_bnb(model: Model, options: MINLPOptions | None = None) -> MINLPRes
                     left, right = branch_integer(frac_name, env[frac_name], node.bounds)
                 for child_bounds in (left, right):
                     push_child(Node(bounds=child_bounds, bound=bound, depth=node.depth + 1, warm=dict(env)))
+    except SolveInterrupted as interrupt:
+        # Same outcome as a limit seen between nodes; the node in flight
+        # stays open so the reported bound covers its subtree.
+        status, message = MINLPStatus.TIME_LIMIT, str(interrupt)
+        if node is not None:
+            queue.push(node)
     finally:
         if ex is not None:
             ex.shutdown()

@@ -23,6 +23,7 @@ infeasibility.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -30,6 +31,7 @@ from repro.exceptions import (
     ExpressionError,
     IterationLimitError,
     ModelError,
+    SolveInterrupted,
     SolverError,
 )
 from repro.expr.linear import linear_coefficients
@@ -110,6 +112,8 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
     opt = options or MINLPOptions()
     sw = Stopwatch()
     t0 = time.monotonic()
+    # Polled between nodes and once per barrier Newton iteration.
+    stop = functools.partial(opt.stop_reason, t0)
     telemetry.count(metric.MINLP_SOLVES, solver="lpnlp")
 
     work, obj_expr = _prepare(model)
@@ -163,26 +167,6 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
                 carried += 1
         rz["cuts_carried"] = carried
 
-    # Step 1: seed the cut pool from a continuous relaxation point — unless
-    # carried cuts already support every nonlinear body, in which case the
-    # master starts at least as tight as a cold seed would leave it and the
-    # seed NLP can be skipped outright (the big reuse win).
-    if plan is not None and plan.covered:
-        rz["seed_nlp_skipped"] = 1
-    else:
-        with sw.phase("initial_nlp"):
-            seed_env, seeded_nlp = _initial_point(work, obj_expr, nl_bodies, opt, cache)
-            nlp_solves += seeded_nlp
-        for _, body in nl_bodies:
-            try:
-                cut = linearize_at(body, seed_env)
-            except (ValueError, ExpressionError):
-                continue  # seed point outside this body's domain: cut later
-            if master.add_cut(cut):
-                cuts_added += 1
-                if reuse is not None:
-                    harvest.append((tag_of[id(body)], cut))
-
     incumbent: dict | None = None
     upper = math.inf
     queue = NodeQueue(opt.node_selection)
@@ -197,33 +181,6 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
     if plan is not None and tracker is not None and plan.pseudo is not None:
         tracker.load_state(*plan.pseudo)
 
-    # Incumbent seeding: re-certify the projected previous optimum through
-    # the fixed-integer NLP before trusting it as a starting upper bound —
-    # an infeasible or unprojectable point simply leaves the solve cold.
-    if plan is not None and plan.fixings is not None:
-        with sw.phase("nlp_seed"):
-            cand_env, cand_obj, solved = _solve_fixed_nlp(
-                work, obj_expr, plan.fixings, opt, cache
-            )
-            nlp_solves += solved
-        if cand_env is not None and math.isfinite(cand_obj):
-            upper, incumbent = cand_obj, cand_env
-            rz["incumbent_seeded"] = 1
-            # Refresh the pool with tangents at the certified point: carried
-            # cuts were linearized at a *different* member's points, so
-            # without this the root LP can sit on stale supports and branch
-            # where a cold solve would not.
-            for _, body in nl_bodies:
-                try:
-                    cut = linearize_at(body, cand_env)
-                except (ValueError, ExpressionError):
-                    continue
-                if master.add_cut(cut):
-                    cuts_added += 1
-                    harvest.append((tag_of[id(body)], cut))
-        else:
-            rz["incumbent_rejected"] = rz.get("incumbent_rejected", 0) + 1
-
     # workers > 1: node LPs are solved speculatively on a thread pool at
     # push time, guarded by the cut-pool version so stale snapshots are
     # discarded — every consumed result is bit-identical to workers=1.
@@ -234,29 +191,79 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
             n.spec = _speculate_lp(master, n, opt, ex)
         queue.push(n)
 
-    root = Node()
-    if plan is not None:
-        root.bounds = dict(plan.root_bounds)
-        if plan.warm is not None and opt.use_warm_start:
-            root.warm = plan.warm
-            rz["basis_reused"] = 1
-    push_node(root)
-
     def cutoff() -> float:
         if not math.isfinite(upper):
             return math.inf
         return upper - max(opt.abs_gap, opt.rel_gap * max(1.0, abs(upper)))
 
+    root = Node()
+    node = None  # the node in flight (or, before the first, the root)
     try:
+        # Step 1: seed the cut pool from a continuous relaxation point —
+        # unless carried cuts already support every nonlinear body, in
+        # which case the master starts at least as tight as a cold seed
+        # would leave it and the seed NLP can be skipped outright (the big
+        # reuse win).
+        if plan is not None and plan.covered:
+            rz["seed_nlp_skipped"] = 1
+        else:
+            with sw.phase("initial_nlp"):
+                seed_env, seeded_nlp = _initial_point(
+                    work, obj_expr, nl_bodies, opt, cache, stop
+                )
+                nlp_solves += seeded_nlp
+            for _, body in nl_bodies:
+                try:
+                    cut = linearize_at(body, seed_env)
+                except (ValueError, ExpressionError):
+                    continue  # seed point outside this body's domain: cut later
+                if master.add_cut(cut):
+                    cuts_added += 1
+                    if reuse is not None:
+                        harvest.append((tag_of[id(body)], cut))
+
+        # Incumbent seeding: re-certify the projected previous optimum
+        # through the fixed-integer NLP before trusting it as a starting
+        # upper bound — an infeasible or unprojectable point simply leaves
+        # the solve cold.
+        if plan is not None and plan.fixings is not None:
+            with sw.phase("nlp_seed"):
+                cand_env, cand_obj, solved = _solve_fixed_nlp(
+                    work, obj_expr, plan.fixings, opt, cache, stop
+                )
+                nlp_solves += solved
+            if cand_env is not None and math.isfinite(cand_obj):
+                upper, incumbent = cand_obj, cand_env
+                rz["incumbent_seeded"] = 1
+                # Refresh the pool with tangents at the certified point:
+                # carried cuts were linearized at a *different* member's
+                # points, so without this the root LP can sit on stale
+                # supports and branch where a cold solve would not.
+                for _, body in nl_bodies:
+                    try:
+                        cut = linearize_at(body, cand_env)
+                    except (ValueError, ExpressionError):
+                        continue
+                    if master.add_cut(cut):
+                        cuts_added += 1
+                        harvest.append((tag_of[id(body)], cut))
+            else:
+                rz["incumbent_rejected"] = rz.get("incumbent_rejected", 0) + 1
+
+        if plan is not None:
+            root.bounds = dict(plan.root_bounds)
+            if plan.warm is not None and opt.use_warm_start:
+                root.warm = plan.warm
+                rz["basis_reused"] = 1
+        push_node(root)
+
         while len(queue):
             if nodes >= opt.max_nodes:
                 status, message = MINLPStatus.NODE_LIMIT, f"{nodes} nodes explored"
                 break
-            if time.monotonic() - t0 > opt.time_limit:
-                status, message = MINLPStatus.TIME_LIMIT, "time limit reached"
-                break
-            if opt.check_hook is not None and opt.check_hook():
-                status, message = MINLPStatus.TIME_LIMIT, "stopped by check hook"
+            reason = stop()
+            if reason:
+                status, message = MINLPStatus.TIME_LIMIT, reason
                 break
 
             node = queue.pop()
@@ -330,7 +337,7 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
                     # bit-identical no matter what the pool carried in.
                     with sw.phase("nlp_fixed"):
                         cand_env, cand_obj, solved = _solve_fixed_nlp(
-                            work, obj_expr, fixings, opt, cache
+                            work, obj_expr, fixings, opt, cache, stop
                         )
                         nlp_solves += solved
                     if cand_env is None:
@@ -344,7 +351,7 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
                 # Integer point violating the nonlinearities: NLP(y-hat) + cuts.
                 with sw.phase("nlp_fixed"):
                     cand_env, cand_obj, solved = _solve_fixed_nlp(
-                        work, obj_expr, fixings, opt, cache
+                        work, obj_expr, fixings, opt, cache, stop
                     )
                     nlp_solves += solved
                 if cand_env is not None and cand_obj < upper:
@@ -407,6 +414,11 @@ def solve_lpnlp(model: Model, options: MINLPOptions | None = None) -> MINLPResul
                     Node(bounds=child_bounds, bound=obj_lp, depth=node.depth + 1,
                          warm=res.warm)
                 )
+    except SolveInterrupted as interrupt:
+        # Same outcome as a limit seen between nodes; the node in flight
+        # stays open so the reported bound covers its subtree.
+        status, message = MINLPStatus.TIME_LIMIT, str(interrupt)
+        queue.push(node if node is not None else root)
     finally:
         if ex is not None:
             ex.shutdown()
@@ -496,7 +508,7 @@ def _prepare(model: Model):
 
 
 def _initial_point(work: Model, obj_expr, nl_bodies, opt: MINLPOptions,
-                   cache: KernelCache | None = None):
+                   cache: KernelCache | None = None, stop=None):
     """A linearization seed: solve the NLP relaxation *restricted to the
     variables that appear nonlinearly* (plus linear rows fully supported by
     them).  Falls back to box midpoints when the barrier fails.
@@ -539,7 +551,7 @@ def _initial_point(work: Model, obj_expr, nl_bodies, opt: MINLPOptions,
             kernel_cache=cache,
             evaluator=opt.evaluator,
         )
-        res = solve_nlp(problem, options=opt.nlp_options)
+        res = solve_nlp(problem, options=opt.nlp_options, stop=stop)
     except (ModelError, SolverError):
         return dict(zip(support, fallback)), 0
     if res.x is None:
@@ -569,7 +581,7 @@ def _box_midpoint(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
 
 
 def _solve_fixed_nlp(work: Model, obj_expr, fixings: dict, opt: MINLPOptions,
-                     cache: KernelCache | None = None):
+                     cache: KernelCache | None = None, stop=None):
     """Solve NLP(y-hat); returns (full env or None, objective, solver calls)."""
     built = build_nlp(work, obj_expr, fixings,
                       kernel_cache=cache, evaluator=opt.evaluator)
@@ -581,7 +593,7 @@ def _solve_fixed_nlp(work: Model, obj_expr, fixings: dict, opt: MINLPOptions,
         if bad:
             return None, math.inf, 0
         return env, built.objective_value, 0
-    res = solve_nlp(built.problem, options=opt.nlp_options)
+    res = solve_nlp(built.problem, options=opt.nlp_options, stop=stop)
     if res.x is None or res.max_violation > _NL_FEAS_TOL:
         return None, math.inf, 1
     env = dict(built.fixed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,20 +51,31 @@ class MINLPOptions:
     var_branch_rule: VarBranchRule = VarBranchRule.PSEUDO_COST
     node_selection: NodeSelection = NodeSelection.BEST_BOUND
     require_convex: bool = True    # refuse non-certified models (global optimality)
-    check_hook: object = None      # callable() -> bool polled each node; truthy stops
-                                   # the search with a TIME_LIMIT status (the
+    check_hook: object = None      # callable() -> bool polled each node and each
+                                   # barrier Newton iteration; truthy stops the
+                                   # search with a TIME_LIMIT status (the
                                    # resilience layer passes Deadline.as_hook())
     max_cut_rounds: int = 40       # OA cut passes per node before forced branch
     use_warm_start: bool = True    # dual-simplex warm starts for node LPs
     workers: int = 1               # >1 enables speculative sibling-node solves
                                    # on a thread pool; results stay bit-identical
                                    # to workers=1 (see docs/parallel.md)
-    evaluator: str = "kernel"      # NLP evaluation back-end: kernel | scalar | tree
+    evaluator: str = "kernel"      # NLP evaluation back-end: kernel | tree
     reuse: object = None           # optional repro.reuse.SolveFamily (duck-typed:
                                    # the solvers only call .plan()/.absorb(), so
                                    # repro.minlp never imports repro.reuse)
     lp_options: SimplexOptions = field(default_factory=SimplexOptions)
     nlp_options: BarrierOptions = field(default_factory=BarrierOptions)
+
+    def stop_reason(self, t0: float) -> str | None:
+        """Why a solve started at ``time.monotonic()`` value ``t0`` must
+        stop now, or None.  Both B&B loops poll it between nodes and pass
+        it to the barrier, which polls it once per Newton iteration."""
+        if time.monotonic() - t0 > self.time_limit:
+            return "time limit reached"
+        if self.check_hook is not None and self.check_hook():
+            return "stopped by check hook"
+        return None
 
     def to_dict(self) -> dict:
         """Canonical serializable form (see :func:`minlp_options_to_dict`)."""

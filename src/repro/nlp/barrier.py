@@ -2,9 +2,21 @@
 
 Outer loop: minimize ``t*f(x) + phi(x)`` for increasing ``t``, where ``phi``
 is the log barrier of the inequality constraints and the finite box bounds.
-Inner loop: infeasible-start Newton on the KKT residual, which keeps linear
-equality constraints exactly (their residual contracts with every full
-step).  Backtracking line search maintains strict interiority.
+Inner loop: Newton on the KKT system of the linear equalities, with a
+backtracking line search that maintains strict interiority.
+
+- Each Newton step assembles one Hessian.  A line-search trial evaluates
+  the merit and, only where its acceptance test reads it, the gradient;
+  an accepted trial's merit, gradient and per-inequality terms carry into
+  the next step.
+- Until ``A_eq x = b_eq`` holds, steps are infeasible-start Newton
+  (B&V §10.3), accepted on the KKT residual norm.  The first full step
+  solves the equalities; from then on a step is accepted by Armijo on the
+  barrier value with the Newton decrement ``lambda^2 = -grad.dx``, and the
+  residual test is kept only for trials whose decrease lies below the
+  merit's floating-point floor.
+- An optional stop predicate is polled once per Newton iteration, so a
+  caller's time limit binds inside a solve.
 
 A built-in phase 1 minimizes the max inequality violation through an
 auxiliary slack variable, so callers do not need to hand in a strictly
@@ -20,11 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.exceptions import SolveInterrupted
 from repro.expr.node import VarRef
 from repro.nlp.problem import NLPProblem
 from repro.nlp.result import NLPResult, NLPStatus
 
 __all__ = ["BarrierOptions", "solve_nlp"]
+
+#: Relative floating-point floor of the barrier merit: decreases smaller
+#: than this times ``1 + |merit|`` are not resolvable by comparing values.
+_MERIT_FLOOR = 64.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -48,11 +65,18 @@ def solve_nlp(
     problem: NLPProblem,
     x0: np.ndarray | None = None,
     options: BarrierOptions | None = None,
+    stop=None,
 ) -> NLPResult:
     """Solve ``problem``; returns a result object (statuses, never raises
-    for infeasibility)."""
+    for infeasibility).
+
+    ``stop`` is an optional zero-argument callable polled once per Newton
+    iteration (phase 1 and the centering pre-pass included); a truthy
+    return aborts the solve with :class:`~repro.exceptions.SolveInterrupted`
+    carrying that value as its message.
+    """
     opt = options or BarrierOptions()
-    solver = _Barrier(problem, opt)
+    solver = _Barrier(problem, opt, stop)
 
     x = None if x0 is None else np.asarray(x0, dtype=float).copy()
     if x is not None and not solver.strictly_feasible(x):
@@ -73,15 +97,18 @@ def solve_nlp(
 
 
 class _Barrier:
-    def __init__(self, problem: NLPProblem, opt: BarrierOptions):
+    def __init__(self, problem: NLPProblem, opt: BarrierOptions, stop=None):
         self.p = problem
         self.opt = opt
+        self.stop = stop
         self.finite_lb = np.isfinite(problem.lb)
         self.finite_ub = np.isfinite(problem.ub)
         self.m_barrier = len(problem.inequalities) + int(self.finite_lb.sum()) + int(
             self.finite_ub.sum()
         )
         self.newton_iters = 0
+        # Set once a full Newton step lands on A_eq x = b_eq (see _center).
+        self.on_manifold = False
 
     # -- feasibility -----------------------------------------------------------
 
@@ -177,7 +204,7 @@ class _Barrier:
         # has merely crossed zero leaves the main barrier starting on a
         # constraint boundary, where Newton crawls.
         stop_below = -(0.05 * abs(s0) + 1e-6)
-        sub = _Barrier(aug, self.opt)
+        sub = _Barrier(aug, self.opt, self.stop)
         result = sub.minimize(z0, stop_when_negative=s_name, stop_below=stop_below)
         self.newton_iters += sub.newton_iters
         if result.x is None:
@@ -272,51 +299,68 @@ class _Barrier:
 
     # -- Newton centering ------------------------------------------------------------
 
-    def _barrier_value(self, x: np.ndarray, t: float) -> float:
+    def _barrier_value(self, x: np.ndarray, t: float):
+        """``(merit, g)``: the barrier objective at weight ``t`` and the
+        inequality values it read; ``(inf, None)`` outside the domain."""
         # Box interiority first: expressions may be undefined (complex
         # fractional powers, division by zero) outside the box.
         dlo = x[self.finite_lb] - self.p.lb[self.finite_lb]
         dhi = self.p.ub[self.finite_ub] - x[self.finite_ub]
         if np.any(dlo <= 0.0) or np.any(dhi <= 0.0):
-            return np.inf
+            return np.inf, None
         try:
             g = self.p.g_values(x) if self.p.inequalities else np.zeros(0)
         except (TypeError, ArithmeticError):
-            return np.inf
+            return np.inf, None
         if g.size and (not np.all(np.isreal(g)) or not np.all(np.isfinite(g))):
-            return np.inf
+            return np.inf, None
         if g.size and g.max(initial=-np.inf) >= 0.0:
-            return np.inf
+            return np.inf, None
         val = t * self.p.f(x)
         if g.size:
             val -= float(np.log(-g).sum())
         val -= float(np.log(dlo).sum()) + float(np.log(dhi).sum())
-        return val
+        return val, g
 
-    def _grad_hess(self, x: np.ndarray, t: float):
+    def _gradient(self, x: np.ndarray, t: float, g):
+        """Barrier gradient at ``x`` plus each inequality's ``(value,
+        gradient vector)`` for :meth:`_hessian`.  ``g`` holds the inequality
+        values :meth:`_barrier_value` read at ``x`` (None: evaluate them)."""
         n = self.p.n
+        if g is None:
+            g = self.p.g_values(x)
         grad = t * self.p.grad_f(x)
-        H = np.zeros((n, n))
-        self.p.hess_f_into(x, H, scale=t)
-
-        for _, smooth in self.p.g_items():
-            gval = smooth.value(x)
+        terms = []
+        for (_, smooth), gval in zip(self.p.g_items(), g):
             gg = smooth.grad_vector(x, n)
-            # -log(-g): gradient = gg / (-g); Hessian = gg ggT / g^2 + Hg / (-g)
+            # -log(-g): gradient = gg / (-g)
             grad += gg / (-gval)
-            H += np.outer(gg, gg) / (gval * gval)
-            smooth.hess_into(x, H, scale=1.0 / (-gval))
-
+            terms.append((gval, gg))
         dlo = x - self.p.lb
         dhi = self.p.ub - x
         fl, fu = self.finite_lb, self.finite_ub
         grad[fl] -= 1.0 / dlo[fl]
         grad[fu] += 1.0 / dhi[fu]
+        return grad, terms
+
+    def _hessian(self, x: np.ndarray, t: float, terms) -> np.ndarray:
+        """Barrier Hessian at ``x`` from the inequality terms of
+        :meth:`_gradient` (no gradient or value is evaluated again)."""
+        n = self.p.n
+        H = np.zeros((n, n))
+        self.p.hess_f_into(x, H, scale=t)
+        for (_, smooth), (gval, gg) in zip(self.p.g_items(), terms):
+            # -log(-g): Hessian = gg ggT / g^2 + Hg / (-g)
+            H += np.outer(gg, gg) / (gval * gval)
+            smooth.hess_into(x, H, scale=1.0 / (-gval))
+        dlo = x - self.p.lb
+        dhi = self.p.ub - x
+        fl, fu = self.finite_lb, self.finite_ub
         diag = np.zeros(n)
         diag[fl] += 1.0 / dlo[fl] ** 2
         diag[fu] += 1.0 / dhi[fu] ** 2
         H[np.diag_indices(n)] += diag + self.opt.regularization
-        return grad, H
+        return H
 
     def _newton_direction(self, grad: np.ndarray, H: np.ndarray):
         """A guaranteed descent direction: Cholesky with escalating ridge.
@@ -367,7 +411,8 @@ class _Barrier:
 
         Returns ``(x, converged, message)``; ``converged=False`` means the
         stage ran out of budget or stalled — callers must not treat the
-        value as a certified stage optimum.
+        value as a certified stage optimum.  Raises
+        :class:`SolveInterrupted` when the stop predicate fires.
         """
         opt = self.opt
         p = self.p
@@ -377,10 +422,19 @@ class _Barrier:
         best_res = np.inf
         best_merit = np.inf
         since_progress = 0
+        merit, g = self._barrier_value(x, t)
+        grad = terms = None  # carried over from an accepted trial
         while self.newton_iters < opt.max_newton:
+            if self.stop is not None:
+                reason = self.stop()
+                if reason:
+                    raise SolveInterrupted(reason)
             if stage_iters >= opt.max_newton_per_center:
                 return x, False, "per-stage Newton budget exhausted"
-            grad, H = self._grad_hess(x, t)
+            if grad is None:
+                grad, terms = self._gradient(x, t, g)
+            H = self._hessian(x, t, terms)
+            exact = False  # an exact KKT solve keeps A_eq x = b_eq
             if m_eq:
                 r_dual = grad + p.A_eq.T @ nu
                 r_prim = p.A_eq @ x - p.b_eq
@@ -388,6 +442,7 @@ class _Barrier:
                 rhs = -np.concatenate([r_dual, r_prim])
                 try:
                     sol = np.linalg.solve(KKT, rhs)
+                    exact = True
                 except np.linalg.LinAlgError:
                     sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
                 dx, dnu = sol[: p.n], sol[p.n :]
@@ -406,15 +461,24 @@ class _Barrier:
                 return x, True, ""
             if m_eq and res_norm <= 1e-8 * (1.0 + abs(t)):
                 return x, True, ""
+            # On the equality manifold the Newton decrement lambda^2 =
+            # -grad.dx measures the merit left to gain.  Below the merit's
+            # floating-point floor no line search can resolve a decrease,
+            # so the stage is as centered as this precision allows.
+            feasible = exact and self.on_manifold
+            if feasible:
+                lam2 = float(-grad @ dx)
+                floor = _MERIT_FLOOR * (1.0 + abs(merit))
+                if abs(lam2) / 2.0 <= max(opt.inner_tol, floor):
+                    return x, True, ""
             # Stall guard: progress means either the residual or the barrier
             # merit moved meaningfully (a productive crawl keeps lowering the
             # merit long before the residual contracts).
-            merit_now = self._barrier_value(x, t)
             improved = res_norm < best_res * (1.0 - 1e-3) or (
-                merit_now < best_merit - 1e-6 * (1.0 + abs(best_merit))
+                merit < best_merit - 1e-6 * (1.0 + abs(best_merit))
             )
             best_res = min(best_res, res_norm)
-            best_merit = min(best_merit, merit_now)
+            best_merit = min(best_merit, merit)
             if improved:
                 since_progress = 0
             else:
@@ -423,31 +487,37 @@ class _Barrier:
                     return x, False, "centering stalled"
 
             # Backtracking line search keeping strict interiority and
-            # decreasing the merit (barrier value, or KKT residual when
-            # equality-infeasible).  Start at the fraction-to-boundary step
-            # for the box: a deep-interior start with a weak Hessian yields
-            # huge Newton directions, and backtracking from alpha=1 through
-            # dozens of infinite-merit trials is what makes cold starts
-            # crawl — jumping to 99.5% of the exact box distance first makes
-            # those steps land in one or two trials.
+            # decreasing the merit: the barrier value, or the KKT residual
+            # off the equality manifold, after a least-squares step, and
+            # where the value cannot resolve the decrease.  Start at the
+            # fraction-to-boundary step for the box: a deep-interior start
+            # with a weak Hessian yields huge Newton directions, and
+            # backtracking from alpha=1 through dozens of infinite-merit
+            # trials is what makes cold starts crawl — jumping to 99.5% of
+            # the exact box distance first makes those steps land in one or
+            # two trials.
             alpha = min(1.0, 0.995 * self._max_box_step(x, dx))
-            base_merit = self._barrier_value(x, t)
             accepted = False
             for _ in range(60):
                 x_new = x + alpha * dx
-                nu_new = nu + alpha * dnu
-                merit = self._barrier_value(x_new, t)
-                if np.isfinite(merit):
-                    if m_eq:
-                        grad_n, _ = self._grad_hess(x_new, t)
-                        rd = grad_n + p.A_eq.T @ nu_new
+                nu_new = nu + (dnu if feasible else alpha * dnu)
+                merit_new, g_new = self._barrier_value(x_new, t)
+                grad_new = terms_new = None
+                if np.isfinite(merit_new):
+                    if feasible and opt.armijo * alpha * lam2 > floor:
+                        if merit_new <= merit - opt.armijo * alpha * lam2:
+                            accepted = True
+                            break
+                    elif m_eq:
+                        grad_new, terms_new = self._gradient(x_new, t, g_new)
+                        rd = grad_new + p.A_eq.T @ nu_new
                         rp = p.A_eq @ x_new - p.b_eq
                         new_res = float(np.linalg.norm(np.concatenate([rd, rp])))
                         if new_res <= (1.0 - opt.armijo * alpha) * res_norm + 1e-14:
                             accepted = True
                             break
                     else:
-                        if merit <= base_merit + opt.armijo * alpha * float(grad @ dx) + 1e-14:
+                        if merit_new <= merit + opt.armijo * alpha * float(grad @ dx) + 1e-14:
                             accepted = True
                             break
                 alpha *= opt.backtrack
@@ -455,7 +525,12 @@ class _Barrier:
             stage_iters += 1
             if not accepted:
                 return x, False, "line search stalled"
-            x, nu = x_new, nu_new
+            if exact and alpha == 1.0:
+                # A full infeasible-start step solves A_eq x = b_eq; every
+                # later step keeps it (A_eq dx = 0 up to rounding).
+                self.on_manifold = True
+            x, nu, merit, g = x_new, nu_new, merit_new, g_new
+            grad, terms = grad_new, terms_new
             if stop_idx is not None and x[stop_idx] < stop_below:
                 return x, True, ""
         return x, False, "Newton iteration limit"

@@ -9,8 +9,7 @@ contribute constant Jacobian entries assembled directly into numpy arrays.
 Construction goes through a :class:`~repro.kernels.KernelCache` — pass the
 same cache to sibling subproblems (the MINLP solvers pass one per solve)
 and structurally identical functions are neither re-differentiated nor
-recompiled.  ``evaluator`` selects the back-end: ``"kernel"`` (default),
-``"scalar"`` (one compiled lambda per expression — the historical path) or
+recompiled.  ``evaluator`` selects the back-end: ``"kernel"`` (default) or
 ``"tree"`` (direct ``Expr.evaluate`` walks, the bit-identical reference).
 """
 

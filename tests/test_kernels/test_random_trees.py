@@ -145,17 +145,17 @@ def test_batched_single_point_shape():
 
 
 def test_evaluator_backends_agree_exactly():
-    """kernel / scalar / tree back-ends are bit-identical on shared trees."""
+    """kernel / tree back-ends are bit-identical on shared trees."""
     s = (var("x") * var("y") + const(1.0)) / var("z")
     expr = s * s + s
     point = np.array([1.3, 2.1, 0.7, 1.0])
     kernels = {
         ev: KernelCache().smooth(expr, INDEX, evaluator=ev)
-        for ev in ("kernel", "scalar", "tree")
+        for ev in ("kernel", "tree")
     }
     vals = {ev: k.value(point) for ev, k in kernels.items()}
-    assert vals["kernel"] == vals["tree"] == vals["scalar"]
+    assert vals["kernel"] == vals["tree"]
     grads = {ev: tuple(k.grad_entries(point)) for ev, k in kernels.items()}
-    assert grads["kernel"] == grads["tree"] == grads["scalar"]
+    assert grads["kernel"] == grads["tree"]
     hessians = {ev: tuple(k.hess_entries(point)) for ev, k in kernels.items()}
-    assert hessians["kernel"] == hessians["tree"] == hessians["scalar"]
+    assert hessians["kernel"] == hessians["tree"]

@@ -71,13 +71,3 @@ def test_kernel_counters_reported():
     assert counters["kernel_hess_evals"] > 0
     # every miss is one compile: nothing is ever built twice
     assert counters["kernel_misses"] == counters["kernel_compiles"]
-
-
-def test_scalar_evaluator_also_identical():
-    """The per-expression-lambda back-end is the historical path; it must
-    stay interchangeable too."""
-    model = model_for(Layout.SEQUENTIAL_SPLIT)
-    kernel = solve_nlp_bnb(model, MINLPOptions(evaluator="kernel"))
-    scalar = solve_nlp_bnb(model, MINLPOptions(evaluator="scalar"))
-    assert scalar.objective == kernel.objective
-    assert scalar.nodes == kernel.nodes

@@ -40,7 +40,7 @@ class TestRoundTrip:
             var_branch_rule=VarBranchRule.MOST_FRACTIONAL,
             node_selection=NodeSelection.DEPTH_FIRST,
             workers=4,
-            evaluator="scalar",
+            evaluator="tree",
             lp_options=SimplexOptions(max_iterations=123),
             nlp_options=BarrierOptions(tol=1e-9),
         )

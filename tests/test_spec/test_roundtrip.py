@@ -118,7 +118,7 @@ minlp_options = st.builds(
     max_cut_rounds=st.integers(1, 100),
     use_warm_start=st.booleans(),
     workers=st.integers(1, 8),
-    evaluator=st.sampled_from(("kernel", "scalar", "tree")),
+    evaluator=st.sampled_from(("kernel", "tree")),
 )
 
 solve_points = st.builds(
